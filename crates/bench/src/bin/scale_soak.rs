@@ -25,9 +25,9 @@
 //! for the paper's tables but *not* gated — they vary with the host. The
 //! gate compares the deterministic counters (`des_events_total`,
 //! `restart_tail_ops`, `report_replicas_total`, `fsimage_bytes`) against a
-//! committed `BENCH_scale.json` with the same ±10% band the perf-gate
-//! uses: a silent workload shrink or fsimage format bloat fails CI even
-//! though the host's clock cannot.
+//! committed `BENCH_scale.json` *exactly*: the run is deterministic, so any
+//! difference means the workload or the fsimage format changed, and a
+//! change that is meant must come with a regenerated baseline.
 
 use std::process::ExitCode;
 use std::time::Instant; // lint:allow(R2): wall-clock benchmark harness, not sim logic
@@ -46,8 +46,6 @@ const DES_INTERVALS: u64 = 50;
 /// Files (x10 blocks) appended after the checkpoint: the edit-log tail the
 /// restart must replay.
 const TAIL_FILES: u64 = 200;
-/// Gate tolerance: deterministic counters may drift this many percent.
-const TOLERANCE_PCT: u64 = 10;
 
 /// One config's measurements: wall-clock stats for humans, deterministic
 /// counters for the gate.
@@ -304,28 +302,18 @@ fn extract(json: &str, key: &str, metric: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Two-sided gate: a deterministic counter drifting past the band in
-/// either direction means the workload or format changed silently.
+/// Exact gate: a deterministic counter that differs from the baseline in
+/// either direction means the workload or format changed.
 fn check(stats: &[ScaleStats], baseline: &str) -> Vec<String> {
     let mut regressions = Vec::new();
     for s in stats {
         for (metric, measured) in s.gated() {
-            let Some(base) = extract(baseline, &s.key, metric) else {
-                regressions.push(format!("{}/{metric}: missing from baseline", s.key));
-                continue;
-            };
-            let ceiling = base.saturating_mul(100 + TOLERANCE_PCT) / 100;
-            let floor = base.saturating_mul(100 - TOLERANCE_PCT) / 100;
-            if measured > ceiling || measured < floor {
-                regressions.push(format!(
-                    "{}/{metric}: {measured} outside {TOLERANCE_PCT}% band around baseline {base}",
-                    s.key
-                ));
-            } else if measured != base {
-                eprintln!(
-                    "note: {}/{metric} drifted {measured} vs {base} (within {TOLERANCE_PCT}%)",
-                    s.key
-                );
+            match extract(baseline, &s.key, metric) {
+                None => regressions.push(format!("{}/{metric}: missing from baseline", s.key)),
+                Some(base) if base != measured => {
+                    regressions.push(format!("{}/{metric}: {measured}, baseline has {base}", s.key))
+                }
+                Some(_) => {}
             }
         }
     }
@@ -439,7 +427,7 @@ fn main() -> ExitCode {
             }
             return ExitCode::FAILURE;
         }
-        println!("scale-gate: all deterministic counters within {TOLERANCE_PCT}% of {path}");
+        println!("scale-gate: all deterministic counters equal {path}");
     }
     ExitCode::SUCCESS
 }
