@@ -86,7 +86,10 @@ impl Snapshot {
 }
 
 /// The pinned cluster: 8 course nodes, 128 KiB blocks (several maps per
-/// job), 64 KiB sort buffer (guaranteed spills at this corpus size).
+/// job) and `io.sort.bytes` set to 64 KiB. `MrCluster::run_job` never
+/// applies that key: jobs built with `JobConf::new` keep the 100 MB
+/// default sort buffer, so each map task spills exactly once and
+/// `spill_bytes` equals `shuffle_bytes`.
 fn pinned_cluster() -> Result<MrCluster> {
     let mut config = Configuration::with_defaults();
     config.set(keys::DFS_BLOCK_SIZE, 128 * 1024u64);

@@ -98,8 +98,14 @@ impl Counters {
     }
 
     /// Add `delta` to a counter in an arbitrary group (user counters, the
-    /// Hadoop `Reporter.incrCounter` path).
+    /// Hadoop `Reporter.incrCounter` path). The lookup borrows `&str`, so
+    /// incrementing an existing counter allocates nothing; only the first
+    /// increment of a new counter copies the names.
     pub fn incr(&mut self, group: &str, counter: &str, delta: u64) {
+        if let Some(v) = self.groups.get_mut(group).and_then(|g| g.get_mut(counter)) {
+            *v += delta;
+            return;
+        }
         *self
             .groups
             .entry(group.to_string())

@@ -41,7 +41,7 @@ use crate::report::{JobReport, TaskKind, TaskSummary};
 use crate::scheduler::{
     scheduler_from_config, JobView, Scheduler, SchedulerEnv, SlotState, UniformEnv,
 };
-use crate::sortbuf::{MapOutput, SortBuffer};
+use crate::sortbuf::{MapOutput, SortBuffer, SortedRun};
 use crate::speculate::{RunningTask, SpecAttempt, SpecOutcome, Speculator};
 use crate::split::{compute_splits, InputSplit, LineReader};
 
@@ -1087,11 +1087,15 @@ impl MrCluster {
             if input_codec == hl_codec::CodecId::Null {
                 stored.last().copied()
             } else {
-                hl_codec::decompress_container(&stored)?.last().copied()
+                last_decoded_byte(&stored)?
             }
         };
+        // Only the bytes through the first newline past the split are
+        // read; compressed blocks decode frame by frame up to it. The
+        // stitch decode is free, like the peek.
         let mut next = my_pos + 1;
-        while !data[logical_len as usize..].contains(&b'\n') && next < file_blocks.len() {
+        let mut tail_done = false;
+        while !tail_done && next < file_blocks.len() {
             let stored = match self.dfs.peek_block_bytes(file_blocks[next].0) {
                 Some(b) => b,
                 None => {
@@ -1106,11 +1110,11 @@ impl MrCluster {
                     got.value
                 }
             };
-            if input_codec == hl_codec::CodecId::Null {
-                data.extend_from_slice(&stored);
+            tail_done = if input_codec == hl_codec::CodecId::Null {
+                append_through_newline(&mut data, &stored)
             } else {
-                data.extend_from_slice(&hl_codec::decompress_container(&stored)?);
-            }
+                append_frames_through_newline(&mut data, &stored)?
+            };
             next += 1;
         }
 
@@ -1162,14 +1166,9 @@ impl MrCluster {
             let mut wire = Vec::with_capacity(output.partitions.len());
             let mut packed_total = 0u64;
             for run in &output.partitions {
-                let mut plain = Vec::with_capacity(run.bytes() as usize);
-                for (k, v) in run.iter() {
-                    plain.extend_from_slice(k);
-                    plain.extend_from_slice(v);
-                }
-                let packed = hl_codec::compress_container(job.conf.map_output_codec, &plain);
-                packed_total += packed.len() as u64;
-                wire.push(packed.len() as u64);
+                let packed = framed_len(job.conf.map_output_codec, run);
+                packed_total += packed;
+                wire.push(packed);
             }
             t += PerfProfile::scale_dur(
                 SimDuration::for_transfer(raw, hl_codec::COMPRESS_BYTES_PER_SEC),
@@ -1434,6 +1433,80 @@ impl<K: SortableKey, V: Writable, C: Combiner<K = K, V = V>> MapOutputSink<K, V>
     fn collect(&mut self, key: K, value: V) {
         self.buf.collect(&key, &value, self.combiner.as_mut(), &mut self.counters);
     }
+}
+
+/// The last byte a compressed block decodes to. Frame headers are walked
+/// without decoding; only trailing frames are decoded (and CRC-checked),
+/// back to the first one that is not empty.
+fn last_decoded_byte(stored: &[u8]) -> Result<Option<u8>> {
+    let mut frames = Vec::new();
+    let mut pos = 0;
+    while pos < stored.len() {
+        let (header, payload, next) = hl_codec::parse_frame(stored, pos)?;
+        frames.push((header, payload));
+        pos = next;
+    }
+    for (header, payload) in frames.iter().rev() {
+        if let Some(&b) = hl_codec::decode_frame(header, payload)?.last() {
+            return Ok(Some(b));
+        }
+    }
+    Ok(None)
+}
+
+/// Append `bytes` to `data` through its first newline. True when a
+/// newline was found, which ends the boundary line.
+fn append_through_newline(data: &mut Vec<u8>, bytes: &[u8]) -> bool {
+    match bytes.iter().position(|&b| b == b'\n') {
+        Some(i) => {
+            data.extend_from_slice(&bytes[..=i]);
+            true
+        }
+        None => {
+            data.extend_from_slice(bytes);
+            false
+        }
+    }
+}
+
+/// [`append_through_newline`] over a compressed block: frames decode (and
+/// CRC-check) one at a time, and none past the newline is decoded.
+fn append_frames_through_newline(data: &mut Vec<u8>, stored: &[u8]) -> Result<bool> {
+    let mut pos = 0;
+    while pos < stored.len() {
+        let (header, payload, next) = hl_codec::parse_frame(stored, pos)?;
+        if append_through_newline(data, &hl_codec::decode_frame(&header, payload)?) {
+            return Ok(true);
+        }
+        pos = next;
+    }
+    Ok(false)
+}
+
+/// Framed size of a run's records packed as one hl-codec container. The
+/// records stream through one `FRAME_RAW_CHUNK` buffer, so the frames cut
+/// exactly where [`hl_codec::compress_container`] would cut the
+/// concatenated run, without first copying the whole run.
+fn framed_len(codec: hl_codec::CodecId, run: &SortedRun) -> u64 {
+    let mut chunk = Vec::with_capacity(hl_codec::FRAME_RAW_CHUNK);
+    let mut packed = 0u64;
+    for (k, v) in run.iter() {
+        for mut bytes in [k, v] {
+            while !bytes.is_empty() {
+                let take = (hl_codec::FRAME_RAW_CHUNK - chunk.len()).min(bytes.len());
+                chunk.extend_from_slice(&bytes[..take]);
+                bytes = &bytes[take..];
+                if chunk.len() == hl_codec::FRAME_RAW_CHUNK {
+                    packed += hl_codec::encode_frame(codec, &chunk).len() as u64;
+                    chunk.clear();
+                }
+            }
+        }
+    }
+    if !chunk.is_empty() {
+        packed += hl_codec::encode_frame(codec, &chunk).len() as u64;
+    }
+    packed
 }
 
 fn locality_counter(l: Locality) -> &'static str {
@@ -1711,6 +1784,112 @@ mod tests {
         let stored: u64 =
             cluster.dfs.file_blocks("/in/packed.txt").unwrap().iter().map(|(_, l, _)| l).sum();
         assert!(stored * 2 < text.len() as u64, "stored {stored} vs logical {}", text.len());
+    }
+
+    #[test]
+    fn compressed_stitch_decodes_frame_by_frame_across_blocks() {
+        // Pseudo-random words, so every 64 KiB frame compresses to about
+        // the same size; blocks sized at two of the largest frames then
+        // hold exactly two frames each (asserted below).
+        const F: usize = hl_codec::FRAME_RAW_CHUNK;
+        let mut state = 0x5EED_u64;
+        let mut text = Vec::with_capacity(12 * F);
+        while text.len() < 12 * F {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let word = state >> 33;
+            text.extend_from_slice(format!("w{}", word % 400).as_bytes());
+            text.push(if word.is_multiple_of(9) { b'\n' } else { b' ' });
+        }
+        text.truncate(12 * F);
+        // Record 1 starts in block 0 and ends in block 1's second frame;
+        // block 0's last frame ends mid-record.
+        // Record 2 starts in block 2, spans block 3, ends in block 4.
+        for r in [2 * F - 100..3 * F + 50, 6 * F - 100..8 * F + 10] {
+            text[r.clone()].iter_mut().filter(|b| **b == b'\n').for_each(|b| *b = b' ');
+        }
+        text[3 * F + 50] = b'\n';
+        text[8 * F + 10] = b'\n';
+        // Block 4's last frame ends exactly on a newline.
+        text[10 * F - 1] = b'\n';
+        *text.last_mut().unwrap() = b'\n';
+
+        let frames = hl_codec::compress_to_frames(hl_codec::CodecId::Hlz, &text);
+        let block_size = 2 * frames.iter().map(Vec::len).max().unwrap();
+        let mut config = Configuration::with_defaults();
+        config.set(hl_common::config::keys::DFS_BLOCK_SIZE, block_size);
+        let mut cluster = MrCluster::new(ClusterSpec::course_hadoop(4), config).unwrap();
+        let text = String::from_utf8(text).unwrap();
+        stage(&mut cluster, "/in/plain.txt", &text);
+        let t = cluster.now;
+        let put = cluster
+            .dfs
+            .put_compressed(
+                &mut cluster.net,
+                t,
+                "/in/packed.txt",
+                text.as_bytes(),
+                None,
+                hl_codec::CodecId::Hlz,
+            )
+            .unwrap();
+        cluster.now = put.completed_at;
+        let blocks = cluster.dfs.file_blocks("/in/packed.txt").unwrap();
+        let expect: Vec<u64> =
+            frames.chunks(2).map(|pair| pair.iter().map(|f| f.len() as u64).sum()).collect();
+        let stored: Vec<u64> = blocks.iter().map(|(_, len, _)| *len).collect();
+        assert_eq!(stored, expect, "every block holds exactly two frames");
+
+        let mut outputs = Vec::new();
+        for (input, output) in [("/in/plain.txt", "/out/plain"), ("/in/packed.txt", "/out/zin")] {
+            let job = Job::new(
+                JobConf::new("wc").input(input).output(output).reduces(2),
+                || WcMap,
+                || WcReduce,
+            );
+            assert!(cluster.run_job(&job).unwrap().success);
+            outputs.push(cluster.read_output(output).unwrap());
+        }
+        assert_eq!(outputs[0], outputs[1], "compressed input must decode to the same answers");
+    }
+
+    #[test]
+    fn stitch_helpers_decode_no_frame_they_do_not_need() {
+        let mut first = hl_codec::encode_frame(hl_codec::CodecId::Hlz, b"tail of a line\nnext");
+        let last = hl_codec::encode_frame(hl_codec::CodecId::Hlz, b"more words\nend");
+        // Rot the other frame's last payload byte: parsing still succeeds,
+        // but decoding it would fail its CRC.
+        let mut rotted_last = last.clone();
+        *rotted_last.last_mut().unwrap() ^= 0x55;
+        let container = [first.clone(), rotted_last].concat();
+        let mut data = b"head ".to_vec();
+        assert!(append_frames_through_newline(&mut data, &container).unwrap());
+        assert_eq!(data, b"head tail of a line\n");
+
+        *first.last_mut().unwrap() ^= 0x55;
+        let container = [first, last].concat();
+        assert_eq!(last_decoded_byte(&container).unwrap(), Some(b'd'));
+        // A frame it must decode is still CRC-checked.
+        let mut data = Vec::new();
+        assert!(append_frames_through_newline(&mut data, &container).is_err());
+    }
+
+    #[test]
+    fn framed_len_matches_compressing_the_concatenated_run() {
+        // Records straddle the 64 KiB frame cuts, and the last frame is
+        // partial.
+        let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..3000u32)
+            .map(|i| {
+                (format!("key{i:05}").into_bytes(), vec![b'a' + (i % 7) as u8; i as usize % 97])
+            })
+            .collect();
+        let run = SortedRun::from_pairs(pairs);
+        let plain: Vec<u8> = run.iter().flat_map(|(k, v)| [k, v].concat()).collect();
+        assert!(plain.len() > 2 * hl_codec::FRAME_RAW_CHUNK);
+        for codec in [hl_codec::CodecId::Hlz, hl_codec::CodecId::Null] {
+            let whole = hl_codec::compress_container(codec, &plain).len() as u64;
+            assert_eq!(framed_len(codec, &run), whole, "{codec:?}");
+        }
+        assert_eq!(framed_len(hl_codec::CodecId::Hlz, &SortedRun::default()), 0);
     }
 
     #[test]

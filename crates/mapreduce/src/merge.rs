@@ -10,7 +10,8 @@
 //! leaf-to-root path of ⌈log₂ k⌉ comparisons on **borrowed key slices** —
 //! no per-record key copies, no heap node churn. Ties go to the
 //! lowest-numbered run, so group values keep run order then intra-run
-//! order, which students observe as deterministic reducer input.
+//! order, which students observe as deterministic reducer input. A pop
+//! whose run continues with the same key skips the replay entirely.
 
 use crate::sortbuf::SortedRun;
 
@@ -89,13 +90,23 @@ impl<'a> Iterator for MergeIter<'a> {
         let r = w as usize;
         let item = self.runs[r].get(self.pos[r]);
         self.pos[r] += 1;
-        self.heads[r] = if self.pos[r] < self.runs[r].len() {
+        let head = if self.pos[r] < self.runs[r].len() {
             let k = self.runs[r].key(self.pos[r]);
             debug_assert!(k >= item.0, "run {r} not sorted");
             Some(k)
         } else {
             None
         };
+        self.heads[r] = head;
+        // Equal-key fast path. The champion is the least `(key, run)`
+        // pair: ties go to the lower run, so `r` beat every lower run
+        // strictly and every higher run by key or by tie. When its next
+        // key equals the one just popped, every match on its leaf-to-root
+        // path replays to the same result, so the tree is already valid.
+        // Map runs hold long equal-key streaks, which skip the replay.
+        if head == Some(item.0) {
+            return Some(item);
+        }
         // Replay only the path from this run's leaf to the root.
         let mut n = self.leaves + r;
         while n > 1 {

@@ -229,9 +229,8 @@ impl MapOutput {
 
 /// One record in the collect buffer: its partition, its arena slot, and
 /// the first 8 key bytes cached inline. The spill sort permutes these
-/// compact entries, never the record bytes, and most comparisons resolve
-/// on the single `prefix` word — the arena is only touched when two
-/// prefixes tie.
+/// compact entries, never the record bytes: it radix-sorts on the
+/// `prefix` word and touches the arena only inside runs of tied prefixes.
 #[derive(Debug, Clone, Copy)]
 struct KvEntry {
     partition: u32,
@@ -239,9 +238,16 @@ struct KvEntry {
     /// padded. Zero padding orders a short key before any longer key with
     /// the same leading bytes *unless* the longer key continues with 0x00
     /// bytes — and equal prefixes always fall back to a full key compare,
-    /// so the filter agrees with `memcmp` either way.
+    /// so the order agrees with `memcmp` either way.
     prefix: u64,
     slot: KvSlot,
+}
+
+impl KvEntry {
+    #[inline]
+    fn partition(&self) -> usize {
+        self.partition as usize
+    }
 }
 
 /// The sortable prefix of a key slice.
@@ -342,36 +348,8 @@ impl<K: SortableKey, V: Writable> SortBuffer<K, V> {
         let index = std::mem::take(&mut self.index);
         counters.incr_task(TaskCounter::SpilledRecords, index.len() as u64);
 
-        // Bucket by partition with a stable counting sort, then order each
-        // partition's entries by (key bytes, arrival order). Raw-byte
-        // compare is correct because keys encode order-preserving; the
-        // cached prefix word settles most comparisons without touching the
-        // arena, and the key_off tiebreak makes the unstable sort
-        // deterministic and equivalent to a stable by-key sort (offsets
-        // grow in collect order).
         let np = self.num_partitions;
-        let mut starts = vec![0usize; np + 1];
-        for e in &index {
-            starts[e.partition as usize + 1] += 1;
-        }
-        for p in 0..np {
-            starts[p + 1] += starts[p];
-        }
-        let mut cursors = starts.clone();
-        let mut ordered = index.clone(); // sized buffer; every slot rewritten below
-        for e in &index {
-            ordered[cursors[e.partition as usize]] = *e;
-            cursors[e.partition as usize] += 1;
-        }
-        drop(index);
-        for p in 0..np {
-            ordered[starts[p]..starts[p + 1]].sort_unstable_by(|a, b| {
-                a.prefix
-                    .cmp(&b.prefix)
-                    .then_with(|| key_slice(&arena, &a.slot).cmp(key_slice(&arena, &b.slot)))
-                    .then_with(|| a.slot.key_off.cmp(&b.slot.key_off))
-            });
-        }
+        let (ordered, starts) = sort_entries(&arena, index, np);
 
         let arena = Arc::new(arena);
         let mut combiner = combiner;
@@ -446,6 +424,72 @@ impl<K: SortableKey, V: Writable> SortBuffer<K, V> {
             wire_bytes: None,
         }
     }
+}
+
+/// Order spill entries by `(partition, key bytes, collect order)` and
+/// return them with each partition's start offset (`np + 1` bounds).
+///
+/// Entries arrive in collect order. A stable LSD radix sort on the 8-byte
+/// prefix, then a stable counting pass on the partition, leaves every
+/// `(partition, prefix)` run in collect order. Byte passes in which all
+/// entries share the byte are skipped, so short or low-entropy keys pay
+/// for the bytes that actually vary. Equal prefixes can still hide
+/// different keys (keys over 8 bytes, or a short key against one padded
+/// with 0x00), so each equal-prefix run whose keys differ gets a stable
+/// full-key sort. Stability throughout means equal keys keep collect
+/// order, as Hadoop's stable spill sort gives.
+fn sort_entries(arena: &[u8], mut entries: Vec<KvEntry>, np: usize) -> (Vec<KvEntry>, Vec<usize>) {
+    let n = entries.len();
+    // One counting pass fills every histogram: 8 prefix bytes + partition.
+    let mut byte_counts = [[0usize; 256]; 8];
+    let mut starts = vec![0usize; np + 1];
+    for e in &entries {
+        for (counts, b) in byte_counts.iter_mut().zip(e.prefix.to_be_bytes()) {
+            counts[usize::from(b)] += 1;
+        }
+        starts[e.partition() + 1] += 1;
+    }
+    for p in 0..np {
+        starts[p + 1] += starts[p];
+    }
+
+    // The one scratch buffer the passes ping-pong through.
+    let mut scratch = entries.clone();
+    for (i, counts) in byte_counts.iter().enumerate().rev() {
+        if counts.contains(&n) {
+            continue;
+        }
+        let mut sum = 0;
+        let mut cursors = counts.map(|c| {
+            sum += c;
+            sum - c
+        });
+        for e in &entries {
+            let b = usize::from(e.prefix.to_be_bytes()[i]);
+            scratch[cursors[b]] = *e;
+            cursors[b] += 1;
+        }
+        std::mem::swap(&mut entries, &mut scratch);
+    }
+    if !starts.windows(2).any(|w| w[1] - w[0] == n) {
+        let mut cursors = starts.clone();
+        for e in &entries {
+            scratch[cursors[e.partition()]] = *e;
+            cursors[e.partition()] += 1;
+        }
+        std::mem::swap(&mut entries, &mut scratch);
+    }
+    drop(scratch);
+
+    for p in 0..np {
+        for run in entries[starts[p]..starts[p + 1]].chunk_by_mut(|a, b| a.prefix == b.prefix) {
+            let first = key_slice(arena, &run[0].slot);
+            if run[1..].iter().any(|e| key_slice(arena, &e.slot) != first) {
+                run.sort_by(|a, b| key_slice(arena, &a.slot).cmp(key_slice(arena, &b.slot)));
+            }
+        }
+    }
+    (entries, starts)
 }
 
 fn key_slice<'a>(arena: &'a [u8], s: &KvSlot) -> &'a [u8] {
@@ -560,8 +604,8 @@ mod tests {
 
     #[test]
     fn equal_keys_keep_collect_order() {
-        // The index sort tiebreaks on arena offset, so equal keys come
-        // out in arrival order — the stability Hadoop's stable sort gives.
+        // The spill sort is stable, so equal keys come out in arrival
+        // order — the stability Hadoop's stable sort gives.
         let mut counters = Counters::new();
         let mut buf: SortBuffer<String, u64> = SortBuffer::new(1, usize::MAX >> 1);
         collect_all(&mut buf, &[("k", 3), ("k", 1), ("k", 2)], &mut counters);

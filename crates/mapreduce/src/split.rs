@@ -55,7 +55,8 @@ pub fn compute_splits(dfs: &Dfs, input_paths: &[String]) -> Result<Vec<InputSpli
 ///
 /// `data` must start at the split's first byte and extend far enough past
 /// the split for its final record to terminate (the engine appends
-/// following blocks until a newline or EOF appears beyond the boundary).
+/// following blocks' bytes through the first newline past the boundary,
+/// or to EOF).
 pub struct LineReader<'a> {
     data: &'a [u8],
     split_len: usize,

@@ -317,6 +317,128 @@ proptest::proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Spill-sort and merge kernels against reference sorts
+// ---------------------------------------------------------------------------
+
+/// A key whose ordered encoding is its raw bytes, routed to the partition
+/// it carries, so properties control the exact bytes the spill sort sees
+/// and can aim records at every partition.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct RawKey {
+    bytes: Vec<u8>,
+    partition: usize,
+}
+
+impl Writable for RawKey {
+    fn write(&self, buf: &mut Vec<u8>) {
+        self.encode_ordered(buf);
+    }
+    fn read(buf: &mut &[u8]) -> hl_common::prelude::Result<Self> {
+        Self::decode_ordered(buf)
+    }
+}
+
+impl SortableKey for RawKey {
+    fn encode_ordered(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.bytes);
+    }
+    fn decode_ordered(buf: &mut &[u8]) -> hl_common::prelude::Result<Self> {
+        let bytes = std::mem::take(buf).to_vec();
+        Ok(RawKey { bytes, partition: 0 })
+    }
+}
+
+/// Keys of 0–16 bytes built to stress the 8-byte prefix: a shared 8-byte
+/// stem cut to any length, then a tail over {0x00, 0x01, 0xff}. That
+/// yields keys equal in their first 8 bytes, keys that differ only by
+/// trailing 0x00 bytes, and, from the small alphabet, heavy duplicates.
+fn prefix_key() -> impl proptest::Strategy<Value = Vec<u8>> {
+    use proptest::Strategy;
+    const STEMS: [&[u8; 8]; 3] = [b"\0\0\0\0\0\0\0\0", b"shared01", b"shared0\xff"];
+    (0usize..3, 0usize..9, proptest::collection::vec(0usize..3, 0..9)).prop_map(
+        |(stem, cut, tail)| {
+            let mut k = STEMS[stem][..cut].to_vec();
+            k.extend(tail.iter().map(|&b| [0x00, 0x01, 0xff][b]));
+            k
+        },
+    )
+}
+
+/// Build a run from `keys` (sorted here) whose values record `(run, pos)`.
+fn tagged_run(run: u64, mut keys: Vec<Vec<u8>>) -> hl_mapreduce::sortbuf::SortedRun {
+    keys.sort();
+    let pairs = keys
+        .into_iter()
+        .enumerate()
+        .map(|(pos, k)| (k, ((run << 32) | pos as u64).to_be_bytes().to_vec()))
+        .collect();
+    hl_mapreduce::sortbuf::SortedRun::from_pairs(pairs)
+}
+
+proptest::proptest! {
+    #[test]
+    fn prop_spill_order_matches_reference_sort(
+        records in proptest::collection::vec((prefix_key(), 0usize..64), 0..300),
+        parts in 1usize..6,
+        limit in proptest::prop_oneof![1 => 64usize..512, 3 => proptest::Just(usize::MAX >> 1)],
+    ) {
+        let mut counters = Counters::new();
+        let mut buf: SortBuffer<RawKey, u64> = SortBuffer::new(parts, limit)
+            .with_partitioner(Some(std::sync::Arc::new(|k: &RawKey, _: &[u8], _| k.partition)));
+        let mut expected: Vec<Vec<Pair>> = vec![Vec::new(); parts];
+        for (i, (bytes, slot)) in records.iter().enumerate() {
+            let key = RawKey { bytes: bytes.clone(), partition: slot % parts };
+            buf.collect::<NoCombiner<RawKey, u64>>(&key, &(i as u64), None, &mut counters);
+            expected[key.partition].push((key.bytes, (i as u64).to_bytes()));
+        }
+        // Reference: (partition, key bytes, collect order) by a stable sort.
+        for run in &mut expected {
+            run.sort_by(|a, b| a.0.cmp(&b.0));
+        }
+        let out = buf.finish::<NoCombiner<RawKey, u64>>(None, &mut counters);
+        for (p, want) in expected.iter().enumerate() {
+            proptest::prop_assert_eq!(&out.partitions[p].to_pairs(), want, "partition {}", p);
+        }
+    }
+
+    #[test]
+    fn prop_merge_matches_stable_reference_sort(
+        runs in proptest::collection::vec(
+            proptest::collection::vec((0usize..4, 1usize..24), 0..5),
+            1..6,
+        ),
+    ) {
+        // Each run is a few long streaks over a 4-key vocabulary, so equal
+        // keys stream within runs and tie across them; a run may be empty.
+        const VOCAB: [&[u8]; 4] = [b"", b"k", b"k\0", b"key-past-eight-bytes"];
+        let runs: Vec<_> = runs
+            .into_iter()
+            .enumerate()
+            .map(|(r, streaks)| {
+                let keys = streaks
+                    .into_iter()
+                    .flat_map(|(k, n)| std::iter::repeat_n(VOCAB[k].to_vec(), n))
+                    .collect();
+                tagged_run(r as u64, keys)
+            })
+            .collect();
+        // Reference: concatenate in (run, pos) order, stable sort by key.
+        let mut expected: Vec<Pair> = runs.iter().flat_map(|r| r.to_pairs()).collect();
+        expected.sort_by(|a, b| a.0.cmp(&b.0));
+
+        let merged: Vec<Pair> = hl_mapreduce::merge::merge_iter(&runs)
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
+            .collect();
+        proptest::prop_assert_eq!(&merged, &expected);
+
+        let groups: Vec<(Vec<u8>, Vec<Vec<u8>>)> = hl_mapreduce::merge::merge_groups(&runs)
+            .map(|(k, vs)| (k.to_vec(), vs.into_iter().map(<[u8]>::to_vec).collect()))
+            .collect();
+        proptest::prop_assert_eq!(groups, group_pairs(expected));
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Parallel reduce == serial reduce
 // ---------------------------------------------------------------------------
 

@@ -8,6 +8,8 @@
 //! ranges are ordered, concatenating `part-r-00000..part-r-NNNNN` yields a
 //! **globally sorted** result — something hash partitioning can never give.
 
+use std::collections::HashSet;
+
 use hl_mapreduce::api::{MapContext, Mapper, ReduceContext, Reducer};
 use hl_mapreduce::job::{Job, JobConf};
 
@@ -40,9 +42,12 @@ impl Reducer for CountReducer {
 /// Build cut points by sampling every `stride`-th distinct token of the
 /// input — the "sampler job" TeraSort runs first, done inline here.
 pub fn sample_cut_points(text: &str, num_reduces: usize) -> Vec<String> {
-    let mut tokens: Vec<&str> = text.split_whitespace().collect();
+    // Dedupe before sorting: a corpus repeats a small vocabulary, so this
+    // sorts the distinct words rather than every token. The sort erases
+    // the set's hash order, so the cut points are deterministic.
+    let distinct: HashSet<&str> = text.split_whitespace().collect();
+    let mut tokens: Vec<&str> = distinct.into_iter().collect();
     tokens.sort_unstable();
-    tokens.dedup();
     if tokens.is_empty() || num_reduces <= 1 {
         return Vec::new();
     }
